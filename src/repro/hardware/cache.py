@@ -23,7 +23,7 @@ high-context hit in a low partition, Property 5).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import List, Tuple
+from typing import Dict, Tuple
 
 from .params import CacheParams
 
@@ -33,53 +33,59 @@ class Cache:
 
     def __init__(self, params: CacheParams):
         self.params = params
-        # Each set is an OrderedDict from tag to None; order encodes LRU
-        # (least-recently-used first).
-        self._sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(params.sets)
-        ]
+        self._granule = self._granule_of(params)
+        self._set_count = params.sets
+        self._ways = params.ways
+        # Set index -> OrderedDict from tag to None, whose order encodes LRU
+        # (least-recently-used first).  A set is allocated when first
+        # touched; an absent set is an empty one.
+        self._sets: Dict[int, OrderedDict] = {}
 
-    # -- address arithmetic ---------------------------------------------------
-
-    def _locate(self, address: int) -> Tuple[int, int]:
-        block = address // self.params.block_bytes
-        return block % self.params.sets, block // self.params.sets
+    @staticmethod
+    def _granule_of(params) -> int:
+        """Bytes per line: the unit addresses are tagged in."""
+        return params.block_bytes
 
     # -- operations -------------------------------------------------------------
 
     def lookup(self, address: int) -> bool:
         """Is the block containing ``address`` present?  No state change."""
-        set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        block = address // self._granule
+        lines = self._sets.get(block % self._set_count)
+        return lines is not None and block // self._set_count in lines
 
     def touch(self, address: int) -> bool:
         """Use the block: LRU-promote on hit, install (evicting LRU) on miss.
 
         Returns True on hit.
         """
-        set_index, tag = self._locate(address)
-        lines = self._sets[set_index]
-        if tag in lines:
+        block = address // self._granule
+        set_index = block % self._set_count
+        tag = block // self._set_count
+        lines = self._sets.get(set_index)
+        if lines is None:
+            lines = self._sets[set_index] = OrderedDict()
+        elif tag in lines:
             lines.move_to_end(tag)
             return True
-        if len(lines) >= self.params.ways:
+        if len(lines) >= self._ways:
             lines.popitem(last=False)
         lines[tag] = None
         return False
 
     def evict(self, address: int) -> bool:
         """Remove the block containing ``address`` if present."""
-        set_index, tag = self._locate(address)
-        lines = self._sets[set_index]
-        if tag in lines:
+        block = address // self._granule
+        lines = self._sets.get(block % self._set_count)
+        tag = block // self._set_count
+        if lines is not None and tag in lines:
             del lines[tag]
             return True
         return False
 
     def flush(self) -> None:
         """Empty the cache."""
-        for lines in self._sets:
-            lines.clear()
+        self._sets.clear()
 
     def preload(self, addresses) -> None:
         """Touch a sequence of addresses (e.g. to warm the cache)."""
@@ -90,7 +96,7 @@ class Cache:
 
     def occupancy(self) -> int:
         """Number of valid lines."""
-        return sum(len(lines) for lines in self._sets)
+        return sum(len(lines) for lines in self._sets.values())
 
     def state(self) -> Tuple[Tuple[int, ...], ...]:
         """A hashable snapshot: per set, the resident tags in LRU order.
@@ -100,11 +106,12 @@ class Cache:
         LRU order is included because it determines future evictions and is
         therefore timing-relevant state.
         """
-        return tuple(tuple(lines.keys()) for lines in self._sets)
+        get = self._sets.get
+        return tuple(tuple(get(i, ())) for i in range(self._set_count))
 
     def clone(self) -> "Cache":
-        twin = Cache(self.params)
-        twin._sets = [OrderedDict(lines) for lines in self._sets]
+        twin = type(self)(self.params)
+        twin._sets = {i: OrderedDict(lines) for i, lines in self._sets.items()}
         return twin
 
     def __repr__(self) -> str:

@@ -31,7 +31,7 @@ from typing import Hashable
 
 from ..lattice import Label, Lattice
 from .params import MachineParams
-from .partitioned import PartitionedHardware
+from .partitioned import LabelPlan, PartitionedHardware
 from .tlb import Tlb
 
 
@@ -60,7 +60,7 @@ class LeakyTlbHardware(PartitionedHardware):
         )
 
     def _tlb_access(
-        self, address: int, label: Label, instruction: bool
+        self, address: int, plan: LabelPlan, instruction: bool
     ) -> int:
         """Label-oblivious translation through the one shared TLB."""
         tlb = self.shared_itlb if instruction else self.shared_dtlb

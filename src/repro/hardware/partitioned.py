@@ -37,15 +37,47 @@ no state change -- which is trivially secure.  The type system offers
 
 from __future__ import annotations
 
-from typing import Dict, Hashable
+from operator import attrgetter
+from typing import Dict, Hashable, Tuple
 
 from ..lattice import Label, Lattice
 from ..machine.layout import AccessTrace
-from .cache import Cache
 from .hierarchy import Hierarchy
 from .interface import MachineEnvironment, StepKind
 from .params import MachineParams, paper_machine
-from .tlb import Tlb
+
+#: Component accessors and recorder names per side, indexed by the
+#: ``instruction`` flag (data side first).
+_TLB_OF = (attrgetter("data_tlb"), attrgetter("inst_tlb"))
+_L1_OF = (attrgetter("l1_data"), attrgetter("l1_inst"))
+_L2_OF = (attrgetter("l2_data"), attrgetter("l2_inst"))
+_NAMES = (("dtlb", "l1d", "l2d"), ("itlb", "l1i", "l2i"))
+
+
+class LabelPlan:
+    """Where an access with one timing label looks and what it disturbs,
+    resolved once per model instead of once per access.
+
+    ``searched`` holds the ``(level, partition)`` pairs at or below the
+    label, in lattice order; ``own`` is the label's partition; ``above``
+    the partitions strictly above it, where single-copy consistency
+    evicts.
+    """
+
+    __slots__ = ("label", "own", "searched", "above")
+
+    def __init__(self, label: Label, lattice: Lattice,
+                 partitions: Dict[Label, Hierarchy]):
+        self.label = label
+        self.own = partitions[label]
+        self.searched: Tuple[Tuple[Label, Hierarchy], ...] = tuple(
+            (level, partitions[level])
+            for level in lattice.levels() if level.flows_to(label)
+        )
+        self.above: Tuple[Hierarchy, ...] = tuple(
+            partitions[level] for level in lattice.levels()
+            if level != label and label.flows_to(level)
+        )
 
 
 class PartitionedHardware(MachineEnvironment):
@@ -57,6 +89,15 @@ class PartitionedHardware(MachineEnvironment):
         self.partitions: Dict[Label, Hierarchy] = {
             level: Hierarchy(self.params) for level in lattice.levels()
         }
+        self._resolve_plans()
+
+    def _resolve_plans(self) -> None:
+        """One :class:`LabelPlan` per level; redone whenever
+        :attr:`partitions` is replaced."""
+        self.plans: Dict[Label, LabelPlan] = {
+            level: LabelPlan(level, self.lattice, self.partitions)
+            for level in self.lattice.levels()
+        }
 
     def attach_recorder(self, recorder) -> None:
         """Propagate the telemetry recorder to every partition (the
@@ -66,121 +107,94 @@ class PartitionedHardware(MachineEnvironment):
             hierarchy.recorder = recorder
 
     # -- the partitioned access algorithm ------------------------------------
-
-    def _partitioned_access(
-        self, address: int, label: Label, instruction: bool
-    ) -> int:
-        """One access with timing label ``label``; returns its cost.
-
-        Split into a TLB stage and a cache stage so variant designs (the
-        zoo's leaky-TLB model, future vectorized fast models) can replace
-        one stage without re-implementing the other.
-        """
-        return self._tlb_access(address, label, instruction) + \
-            self._cache_access(address, label, instruction)
+    #
+    # One access is a TLB stage plus a cache stage, each an override seam:
+    # variant designs (the zoo's leaky-TLB model) replace one stage without
+    # re-implementing the other.  Both take the access's LabelPlan, so the
+    # hot path never consults the lattice.
 
     def _tlb_access(
-        self, address: int, label: Label, instruction: bool
+        self, address: int, plan: LabelPlan, instruction: bool
     ) -> int:
-        """Address translation with timing label ``label``.
+        """Address translation with timing label ``plan.label``.
 
-        A hit in any partition at or below ``label`` is free; a miss walks
+        A hit in any partition at or below the label is free; a miss walks
         the page table and installs into the own-level partition.
         """
-        searched = [
-            p for p in self.lattice.levels() if p.flows_to(label)
-        ]
-        own = self.partitions[label]
-        if instruction:
-            tlb_of = lambda h: h.inst_tlb  # noqa: E731
-        else:
-            tlb_of = lambda h: h.data_tlb  # noqa: E731
-
-        cost = 0
+        tlb_of = _TLB_OF[instruction]
         tlb_hit = None
-        for p in searched:
-            if tlb_of(self.partitions[p]).lookup(address):
-                tlb_hit = p
+        for level, hierarchy in plan.searched:
+            if tlb_of(hierarchy).lookup(address):
+                tlb_hit = level
                 break
         if self.recorder.active:
-            self.recorder.on_cache_access(
-                "itlb" if instruction else "dtlb", tlb_hit is not None
-            )
+            self.recorder.on_cache_access(_NAMES[instruction][0],
+                                          tlb_hit is not None)
         if tlb_hit is None:
-            cost += tlb_of(own).params.miss_penalty
-            tlb_of(own).touch(address)
-            self._evict_above(address, label, tlb_of)
-        elif tlb_hit == label:
-            tlb_of(own).touch(address)  # LRU promotion in the own partition
-        return cost
+            own = tlb_of(plan.own)
+            own.touch(address)
+            for hierarchy in plan.above:
+                tlb_of(hierarchy).evict(address)
+            return own.params.miss_penalty
+        if tlb_hit is plan.label:
+            tlb_of(plan.own).touch(address)  # LRU promotion, own partition
+        return 0
 
     def _cache_access(
-        self, address: int, label: Label, instruction: bool
+        self, address: int, plan: LabelPlan, instruction: bool
     ) -> int:
-        """The L1/L2 stage of one access with timing label ``label``."""
-        searched = [
-            p for p in self.lattice.levels() if p.flows_to(label)
-        ]
-        own = self.partitions[label]
-        if instruction:
-            l1_of = lambda h: h.l1_inst  # noqa: E731
-            l2_of = lambda h: h.l2_inst  # noqa: E731
-        else:
-            l1_of = lambda h: h.l1_data  # noqa: E731
-            l2_of = lambda h: h.l2_data  # noqa: E731
-
+        """The L1/L2 stage of one access with timing label ``plan.label``."""
+        l1_of = _L1_OF[instruction]
+        l2_of = _L2_OF[instruction]
+        own = plan.own
         recording = self.recorder.active
-        cache_side = "i" if instruction else "d"
 
-        cost = 0
         # L1 search across all partitions at or below the timing label.
-        l1_params = l1_of(own).params
-        l2_params = l2_of(own).params
-        cost += l1_params.latency
+        cost = l1_of(own).params.latency
         l1_hit = None
-        for p in searched:
-            if l1_of(self.partitions[p]).lookup(address):
-                l1_hit = p
+        for level, hierarchy in plan.searched:
+            if l1_of(hierarchy).lookup(address):
+                l1_hit = level
                 break
         if recording:
-            self.recorder.on_cache_access(f"l1{cache_side}", l1_hit is not None)
+            self.recorder.on_cache_access(_NAMES[instruction][1],
+                                          l1_hit is not None)
         if l1_hit is not None:
-            if l1_hit == label:
+            if l1_hit is plan.label:
                 l1_of(own).touch(address)
             return cost
 
         # L1 miss: search L2 the same way.
-        cost += l2_params.latency
+        cost += l2_of(own).params.latency
         l2_hit = None
-        for p in searched:
-            if l2_of(self.partitions[p]).lookup(address):
-                l2_hit = p
+        for level, hierarchy in plan.searched:
+            if l2_of(hierarchy).lookup(address):
+                l2_hit = level
                 break
         if recording:
-            self.recorder.on_cache_access(f"l2{cache_side}", l2_hit is not None)
+            self.recorder.on_cache_access(_NAMES[instruction][2],
+                                          l2_hit is not None)
         if l2_hit is not None:
-            if l2_hit == label:
+            if l2_hit is plan.label:
                 l2_of(own).touch(address)
             l1_of(own).touch(address)
-            self._evict_above(address, label, l1_of)
+            for hierarchy in plan.above:
+                l1_of(hierarchy).evict(address)
             return cost
 
         # Full miss: the controller either fetches from memory or moves the
         # line from a strictly-higher partition; both take the full miss
-        # latency so that timing is independent of unsearched state.
+        # latency so that timing is independent of unsearched state.  The
+        # line leaves every partition above (single-copy consistency,
+        # permitted by Property 5 since lw = label <= q).
         cost += self.params.memory_latency
         l2_of(own).touch(address)
         l1_of(own).touch(address)
-        self._evict_above(address, label, l1_of)
-        self._evict_above(address, label, l2_of)
+        for hierarchy in plan.above:
+            l1_of(hierarchy).evict(address)
+        for hierarchy in plan.above:
+            l2_of(hierarchy).evict(address)
         return cost
-
-    def _evict_above(self, address: int, label: Label, component_of) -> None:
-        """Single-copy consistency: drop the entry from partitions strictly
-        above ``label`` (permitted by Property 5 since ``lw = label <= q``)."""
-        for q in self.lattice.levels():
-            if q != label and label.flows_to(q):
-                component_of(self.partitions[q]).evict(address)
 
     # -- the contract interface ------------------------------------------------
 
@@ -192,7 +206,9 @@ class PartitionedHardware(MachineEnvironment):
         write_label: Label,
     ) -> int:
         cost = self.params.execute_cost
-        if read_label != write_label:
+        # Labels are interned per lattice: the identity test settles the
+        # common lr = lw case without calling Label.__eq__.
+        if read_label is not write_label and read_label != write_label:
             # The cache can only be used when lr = lw (Sec. 5.1); other
             # steps bypass it entirely at worst-case cost.
             reference = self.partitions[self.lattice.bottom]
@@ -207,20 +223,22 @@ class PartitionedHardware(MachineEnvironment):
             if trace.taken is not None and self.params.branch is not None:
                 cost += self.params.branch.penalty  # flat worst case
             return cost
-        label = read_label
-        cost += self._partitioned_access(
-            trace.instruction, label, instruction=True
-        )
+        plan = self.plans[read_label]
+        tlb_access = self._tlb_access
+        cache_access = self._cache_access
+        address = trace.instruction
+        cost += (tlb_access(address, plan, True)
+                 + cache_access(address, plan, True))
         if trace.taken is not None:
             # Each level owns a private predictor: reads and training stay
             # at exactly the step's own level.
-            cost += self.partitions[label].branch_cost(
-                trace.instruction, trace.taken
-            )
+            cost += plan.own.branch_cost(address, trace.taken)
         for address in trace.reads:
-            cost += self._partitioned_access(address, label, instruction=False)
+            cost += (tlb_access(address, plan, False)
+                     + cache_access(address, plan, False))
         for address in trace.writes:
-            cost += self._partitioned_access(address, label, instruction=False)
+            cost += (tlb_access(address, plan, False)
+                     + cache_access(address, plan, False))
         return cost
 
     def project(self, level: Label) -> Hashable:
@@ -232,4 +250,5 @@ class PartitionedHardware(MachineEnvironment):
             level: hierarchy.clone()
             for level, hierarchy in self.partitions.items()
         }
+        twin._resolve_plans()
         return twin

@@ -28,7 +28,7 @@ real per-partition state.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Set
+from typing import Dict, Hashable, Set, Tuple
 
 from ..lattice import Label, Lattice
 from ..machine.layout import AccessTrace
@@ -48,6 +48,11 @@ class WriteBackHardware(PartitionedHardware):
         #: Dirty data blocks per level (block numbers, L1-data granularity).
         self._dirty: Dict[Label, Set[int]] = {
             level: set() for level in lattice.levels()
+        }
+        #: Per label, the levels at or above it: where its step may drain.
+        self._upward: Dict[Label, Tuple[Label, ...]] = {
+            label: tuple(q for q in lattice.levels() if label.flows_to(q))
+            for label in lattice.levels()
         }
 
     # -- block/set arithmetic (L1-data geometry) -----------------------------
@@ -80,9 +85,7 @@ class WriteBackHardware(PartitionedHardware):
         }
         drained = 0
         if touched_sets:
-            for q in self.lattice.levels():
-                if not label.flows_to(q):
-                    continue
+            for q in self._upward[label]:
                 dirty = self._dirty[q]
                 conflicts = [
                     block for block in dirty

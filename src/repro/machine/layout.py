@@ -16,7 +16,7 @@ channel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..lang import ast
 from .memory import Memory
@@ -98,6 +98,15 @@ class Layout:
         if access.name in self.array_addr:
             return self.array_addr[access.name] + WORD_BYTES * access.index
         raise KeyError(f"name {access.name!r} has no address in this layout")
+
+    def element_address(self, name: str) -> Callable[[int], int]:
+        """``index -> data_address(DataAccess(name, index))``, with the
+        name resolved now (a missing name raises its ``KeyError`` here)."""
+        if name in self.var_addr:
+            address = self.var_addr[name]
+            return lambda index: address
+        base = self.data_address(DataAccess(name))
+        return lambda index: base + WORD_BYTES * index
 
     def instruction_address(self, node_id: int) -> int:
         """The fetch address of a labeled command, by node id."""

@@ -24,6 +24,16 @@ class MemoryError_(KeyError):
     """Raised on access to an undeclared variable or an out-of-bounds index."""
 
 
+def undeclared_scalar(name: str) -> MemoryError_:
+    """The error a read or write of an undeclared scalar raises."""
+    return MemoryError_(f"undeclared scalar variable {name!r}")
+
+
+def undeclared_array(name: str) -> MemoryError_:
+    """The error an access to an undeclared array raises."""
+    return MemoryError_(f"undeclared array {name!r}")
+
+
 class Memory:
     """A store for scalars and arrays.
 
@@ -63,18 +73,33 @@ class Memory:
         self._require_array(name)
         return len(self._arrays[name])
 
+    def shape(self) -> Tuple[Tuple[str, ...], Tuple[Tuple[str, int], ...]]:
+        """The declared names and array lengths -- everything but the
+        values.  Two memories of one shape get the same address layout."""
+        return (tuple(self._scalars),
+                tuple([(k, len(v)) for k, v in self._arrays.items()]))
+
+    def stores(self) -> Tuple[Dict[str, int], Dict[str, list]]:
+        """The live scalar and array dictionaries.
+
+        For code compiled against this memory's :meth:`shape`, which has
+        already resolved every name it touches; everyone else goes through
+        the checked reads and writes below.
+        """
+        return self._scalars, self._arrays
+
     # -- reads and writes -------------------------------------------------------
 
     def read(self, name: str) -> int:
         """The current value of scalar ``name``."""
         if name not in self._scalars:
-            raise MemoryError_(f"undeclared scalar variable {name!r}")
+            raise undeclared_scalar(name)
         return self._scalars[name]
 
     def write(self, name: str, value: int) -> None:
         """Set scalar ``name`` to ``value``."""
         if name not in self._scalars:
-            raise MemoryError_(f"undeclared scalar variable {name!r}")
+            raise undeclared_scalar(name)
         self._scalars[name] = int(value)
 
     def read_elem(self, name: str, index: int) -> int:
@@ -89,7 +114,7 @@ class Memory:
 
     def _require_array(self, name: str) -> None:
         if name not in self._arrays:
-            raise MemoryError_(f"undeclared array {name!r}")
+            raise undeclared_array(name)
 
     def _check_index(self, name: str, index: int) -> None:
         self._require_array(name)

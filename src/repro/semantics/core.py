@@ -3,9 +3,10 @@
 The core semantics ignores timing entirely: ``mitigate (e, l) c`` evaluates
 to ``c`` and ``sleep`` behaves like ``skip``.  Its purpose in the paper is to
 pin down *what the program computes*, against which the full semantics must
-be adequate (Property 1).  Our full semantics reuses this module's stepping
-logic, so adequacy holds by construction -- and the tests check it anyway by
-running both and comparing.
+be adequate (Property 1).  Both semantics evaluate expressions with this
+module's :func:`compile_expr`, so they agree on every value by
+construction -- and the tests check adequacy anyway by running both and
+comparing.
 
 Expression evaluation is total and deterministic:
 
@@ -22,12 +23,13 @@ Array index errors (the one partiality the array extension introduces) raise
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..lang import ast
 from ..machine.layout import DataAccess
-from ..machine.memory import Memory
+from ..machine.memory import Memory, undeclared_array, undeclared_scalar
 
 
 class EvaluationError(RuntimeError):
@@ -54,6 +56,160 @@ def _truncmod(a: int, b: int) -> int:
     return a - _truncdiv(a, b) * b
 
 
+def _shl(a: int, b: int) -> int:
+    return a << b if b >= 0 else a
+
+
+def _shr(a: int, b: int) -> int:
+    return a >> b if b >= 0 else a
+
+
+#: Binary operators whose result is already an int.
+_ARITHMETIC: Dict[str, Callable[[int, int], int]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": _truncdiv, "%": _truncmod,
+    "&": operator.and_, "|": operator.or_, "^": operator.xor,
+    "<<": _shl, ">>": _shr,
+}
+#: Binary operators whose truth value becomes 0/1.
+_TRUTH: Dict[str, Callable[[int, int], bool]] = {
+    "==": operator.eq, "!=": operator.ne,
+    "<": operator.lt, "<=": operator.le,
+    ">": operator.gt, ">=": operator.ge,
+    "&&": lambda a, b: a != 0 and b != 0,
+    "||": lambda a, b: a != 0 or b != 0,
+}
+
+
+def _unknown_operator(op: str) -> Callable[[int, int], bool]:
+    def apply(a: int, b: int) -> bool:
+        raise ValueError(f"unknown operator {op!r}")
+    return apply
+
+
+def _apply(op: str, a: int, b: int) -> int:
+    """One binary operator on two values (constant folding uses it too)."""
+    fn = _ARITHMETIC.get(op)
+    if fn is not None:
+        return fn(a, b)
+    return 1 if (_TRUTH.get(op) or _unknown_operator(op))(a, b) else 0
+
+
+#: ``evaluate(scalars, arrays, out) -> value`` over :meth:`Memory.stores`.
+Evaluator = Callable[[Dict[str, int], Dict[str, list], Optional[list]], int]
+
+
+def _element_access(name: str) -> Callable[[int], DataAccess]:
+    return lambda index: DataAccess(name, index)
+
+
+def compile_expr(
+    expr: ast.Expr,
+    memory: Memory,
+    scalar_site: Callable[[str], Any] = DataAccess,
+    element_site: Callable[[str], Callable[[int], Any]] = _element_access,
+    traced: Optional[bool] = None,
+) -> Tuple[Evaluator, Optional[Tuple[Any, ...]]]:
+    """Compile ``expr`` for every memory shaped like ``memory``.
+
+    Returns ``(evaluate, reads)``.  ``evaluate(scalars, arrays, out)``
+    takes the dictionaries of :meth:`Memory.stores` and returns the value;
+    evaluation does no dispatch on node types.  The accesses it performs
+    are reported as *sites*: ``scalar_site(name)`` for a scalar read and
+    ``element_site(name)(index)`` for an array-element read (by default
+    :class:`DataAccess` records; the full semantics passes addresses).
+    When ``expr`` reads no array element, its accesses do not depend on
+    values: ``reads`` is their tuple and ``out`` is ignored.  Otherwise
+    (or when ``traced`` is true) ``reads`` is None and ``evaluate``
+    appends every site to the list ``out``.  Either way the sites are in
+    evaluation order, one per scalar read and per array-element read.
+
+    Site functions are called at compile time, in evaluation order.  Reads
+    of undeclared names and out-of-bounds indices raise when evaluated,
+    in evaluation order, exactly as the checked :class:`Memory` accessors
+    would.
+    """
+    dynamic = reads_elements(expr) if traced is None else traced
+    reads: list = []
+
+    def build(e: ast.Expr) -> Evaluator:
+        if isinstance(e, ast.IntLit):
+            value = e.value
+            return lambda s, a, out: value
+        if isinstance(e, ast.Var):
+            name = e.name
+            if not memory.is_scalar(name):
+                def undeclared_var(s, a, out):
+                    raise undeclared_scalar(name)
+                return undeclared_var
+            site = scalar_site(name)
+            if not dynamic:
+                reads.append(site)
+                return lambda s, a, out: s[name]
+
+            def traced_var(s, a, out):
+                out.append(site)
+                return s[name]
+            return traced_var
+        if isinstance(e, ast.ArrayRead):
+            index = build(e.index)
+            name = e.array
+            if not memory.is_array(name):
+                def undeclared_read(s, a, out):
+                    index(s, a, out)
+                    raise undeclared_array(name)
+                return undeclared_read
+            element = element_site(name)
+
+            def array_read(s, a, out):
+                i = index(s, a, out)
+                values = a[name]
+                if not 0 <= i < len(values):
+                    raise EvaluationError(
+                        f"array read {name}[{i}] out of bounds "
+                        f"(length {len(values)})"
+                    )
+                out.append(element(i))
+                return values[i]
+            return array_read
+        if isinstance(e, ast.UnOp):
+            operand = build(e.operand)
+            if e.op == "-":
+                return lambda s, a, out: -operand(s, a, out)
+            return lambda s, a, out: 1 if operand(s, a, out) == 0 else 0
+        if isinstance(e, ast.BinOp):
+            left = build(e.left)
+            right = build(e.right)
+            fn = _ARITHMETIC.get(e.op)
+            if fn is not None:
+                return lambda s, a, out: fn(left(s, a, out),
+                                            right(s, a, out))
+            test = _TRUTH.get(e.op) or _unknown_operator(e.op)
+            return lambda s, a, out: (
+                1 if test(left(s, a, out), right(s, a, out)) else 0)
+        message = f"not an expression: {e!r}"
+
+        def bad(s, a, out):
+            raise TypeError(message)
+        return bad
+
+    evaluate = build(expr)
+    return evaluate, (None if dynamic else tuple(reads))
+
+
+def reads_elements(expr: ast.Expr) -> bool:
+    """Does ``expr`` read an array element?  Then which locations it
+    reads depends on values."""
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.ArrayRead):
+            return True
+        if isinstance(node, ast.Expr):
+            stack.extend(node.children())
+    return False
+
+
 def eval_expr(expr: ast.Expr, memory: Memory) -> int:
     """Big-step expression evaluation ``(e, m) => v``."""
     value, _ = eval_expr_traced(expr, memory)
@@ -69,76 +225,17 @@ def eval_expr_traced(
     it contains one entry per scalar read and per array-element read, in
     evaluation order.  Short-circuiting would make the *set* of accesses
     value-dependent, so ``&&``/``||`` evaluate both operands -- the paper's
-    single-step timing model charges a whole expression at once.
+    single-step timing model charges a whole expression at once.  This is
+    :func:`compile_expr` run once; the full semantics keeps the compiled
+    form instead.
     """
-    accesses: list = []
-
-    def go(e: ast.Expr) -> int:
-        if isinstance(e, ast.IntLit):
-            return e.value
-        if isinstance(e, ast.Var):
-            accesses.append(DataAccess(e.name))
-            return memory.read(e.name)
-        if isinstance(e, ast.ArrayRead):
-            index = go(e.index)
-            if not 0 <= index < memory.array_length(e.array):
-                raise EvaluationError(
-                    f"array read {e.array}[{index}] out of bounds "
-                    f"(length {memory.array_length(e.array)})"
-                )
-            accesses.append(DataAccess(e.array, index))
-            return memory.read_elem(e.array, index)
-        if isinstance(e, ast.UnOp):
-            v = go(e.operand)
-            return -v if e.op == "-" else int(v == 0)
-        if isinstance(e, ast.BinOp):
-            a = go(e.left)
-            b = go(e.right)
-            return _apply(e.op, a, b)
-        raise TypeError(f"not an expression: {e!r}")
-
-    value = go(expr)
-    return value, tuple(accesses)
-
-
-def _apply(op: str, a: int, b: int) -> int:
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return _truncdiv(a, b)
-    if op == "%":
-        return _truncmod(a, b)
-    if op == "&":
-        return a & b
-    if op == "|":
-        return a | b
-    if op == "^":
-        return a ^ b
-    if op == "<<":
-        return a << b if b >= 0 else a
-    if op == ">>":
-        return a >> b if b >= 0 else a
-    if op == "==":
-        return int(a == b)
-    if op == "!=":
-        return int(a != b)
-    if op == "<":
-        return int(a < b)
-    if op == "<=":
-        return int(a <= b)
-    if op == ">":
-        return int(a > b)
-    if op == ">=":
-        return int(a >= b)
-    if op == "&&":
-        return int(a != 0 and b != 0)
-    if op == "||":
-        return int(a != 0 or b != 0)
-    raise ValueError(f"unknown operator {op!r}")  # pragma: no cover
+    evaluate, reads = compile_expr(expr, memory)
+    scalars, arrays = memory.stores()
+    if reads is not None:
+        return evaluate(scalars, arrays, None), reads
+    out: list = []
+    value = evaluate(scalars, arrays, out)
+    return value, tuple(out)
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,24 @@ def test_full_semantics_deterministic(seed):
 
 
 @given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_cached_step_table_matches_a_fresh_compile(seed):
+    # The second run of one program object reuses its compiled step table;
+    # an identical program built anew compiles its own.  All three runs
+    # must agree on everything they show.
+    program, memory = generated(seed)
+    twin, _ = generated(seed)
+    for factory in HARDWARE:
+        runs = [execute(p, memory.copy(), factory())
+                for p in (program, program, twin)]
+        shown = [(r.time, r.steps, r.events, r.memory,
+                  [(m.level, m.start_time, m.end_time)
+                   for m in r.mitigations],
+                  r.environment.full_state()) for r in runs]
+        assert shown[0] == shown[1] == shown[2]
+
+
+@given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_core_and_full_memory_agree(seed):
     program, memory = generated(seed)

@@ -458,8 +458,9 @@ class TestVersion:
         assert f"repro {__version__}" in out
 
     def test_version_matches_package_metadata(self):
-        # The single source of truth is the installed distribution
-        # metadata, not a hand-maintained string.
+        # The single source of truth is src/repro/_version.py, which
+        # pyproject.toml also reads, so a bare checkout and the installed
+        # distribution metadata agree.
         assert __version__ == "1.0.0"
 
 
